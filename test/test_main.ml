@@ -14,6 +14,7 @@ let () =
       ("diag", Test_diag.suite);
       ("obs", Test_obs.suite);
       ("par", Test_par.suite);
+      ("fit-bits", Test_fit_bits.suite);
       ("repro", Test_repro.suite);
       ("service", Test_service.suite);
       ("store", Test_store.suite);

@@ -32,13 +32,11 @@ let spin n =
 
 let opteron1s = Machines.restrict_sockets Machines.opteron48 ~sockets:1
 
+(* Through the shared store: test_fit_bits pins the predictions of the
+   same series and reuses these collections. *)
 let collect_entry entry =
-  Collector.collect
-    ~options:
-      { Collector.default_options with Collector.seed = 42; plugins = entry.Suite.plugins; repetitions = 1 }
-    ~machine:opteron1s ~spec:entry.Suite.spec
-    ~thread_counts:(Collector.default_thread_counts ~max:12)
-    ()
+  Api.collect ~repetitions:1 ~plugins:entry.Suite.plugins ~machine:opteron1s ~spec:entry.Suite.spec
+    ~max_threads:12 ()
 
 let predict_entry entry series =
   match
