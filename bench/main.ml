@@ -118,19 +118,23 @@ let fit_timing () =
       ()
   in
   let recorder = Estima_obs.Recorder.create () in
-  let t0 = Sys.time () in
+  (* [quick_stat] sums every domain's minor allocation, so pool workers'
+     share of the fit search counts too (each up to its last minor GC). *)
+  let minor_words () = (Gc.quick_stat ()).Gc.minor_words in
+  let t0 = Sys.time () and w0 = minor_words () in
   let _prediction =
     Estima_obs.Recorder.record recorder (fun () ->
         Predictor.predict
           ~config:{ Predictor.default_config with Predictor.include_software = true }
           ~series ~target_max:48 ())
   in
-  let elapsed = Sys.time () -. t0 in
+  let elapsed = Sys.time () -. t0 and words = minor_words () -. w0 in
   Estima_repro.Render.heading "[BENCH] fit-search timing per stage (intruder, 12 -> 48 cores)";
   Format.printf "%a@." Estima_obs.Trace_render.pp_span_stats (Estima_obs.Recorder.span_stats recorder);
   Format.printf "@.counters:@.%a@." Estima_obs.Trace_render.pp_counters
     (Estima_obs.Recorder.counters recorder);
-  Printf.printf "total predict time: %.3f ms (cpu)\n%!" (1e3 *. elapsed)
+  Printf.printf "total predict time: %.3f ms (cpu), %.2f M minor words\n%!" (1e3 *. elapsed)
+    (words /. 1e6)
 
 (* ------------------------- accuracy table ------------------------- *)
 

@@ -6,7 +6,7 @@ let basis x =
 
 let eval params x = Vec.dot params (basis x)
 
-let gradient _params x = basis x
+let gradient ~xs _params i jac = Array.blit (basis xs.(i)) 0 jac (i * 4) 4
 
 let initial_guesses ~xs ~ys =
   if Array.length xs < 4 || Array.exists (fun x -> x <= 0.0) xs then []

@@ -7,12 +7,17 @@ let eval params x =
   let den = params.(2) +. (params.(3) *. x) in
   exp (num /. den)
 
-let gradient params x =
+let gradient ~xs params i jac =
+  let x = xs.(i) in
   let num = params.(0) +. (params.(1) *. x) in
   let den = params.(2) +. (params.(3) *. x) in
   let f = exp (num /. den) in
   let den2 = den *. den in
-  [| f /. den; f *. x /. den; -.f *. num /. den2; -.f *. num *. x /. den2 |]
+  let row = i * 4 in
+  jac.(row) <- f /. den;
+  jac.(row + 1) <- f *. x /. den;
+  jac.(row + 2) <- -.f *. num /. den2;
+  jac.(row + 3) <- -.f *. num *. x /. den2
 
 (* With c fixed near 1, ln y ~ (a + b n)/(1 + d n); multiply out:
    a + b n - (ln y) d n = ln y, linear in (a, b, d). *)

@@ -77,13 +77,10 @@ let fit (kernel : Kernel.t) ~xs ~ys =
       in
       Estima_par.Fanout.map_consume (Array.of_list guesses)
         ~f:(fun init ->
-          let r0 = objective.Lm.residual init in
-          if Vec.all_finite r0 then begin
-            match Lm.minimize objective ~init with
-            | result -> Some (result.Lm.params, result.Lm.cost, result.Lm.outcome = Lm.Converged)
-            | exception Invalid_argument _ -> None
-          end
-          else None)
+          (* A start with a non-finite residual is refused by [minimize]. *)
+          match Lm.minimize objective ~init with
+          | result -> Some (result.Lm.params, result.Lm.cost, result.Lm.outcome = Lm.Converged)
+          | exception Invalid_argument _ -> None)
         ~consume:(function
           | Some (params, cost, converged) -> consider params cost converged
           | None -> ());

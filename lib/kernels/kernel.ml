@@ -4,7 +4,7 @@ type t = {
   name : string;
   arity : int;
   eval : Vec.t -> float -> float;
-  gradient : Vec.t -> float -> Vec.t;
+  gradient : xs:float array -> Vec.t -> int -> float array -> unit;
   initial_guesses : xs:float array -> ys:float array -> Vec.t list;
   linear : bool;
 }
@@ -13,9 +13,16 @@ let applicable t ~npoints = npoints >= t.arity
 
 let residual_objective t ~xs ~ys =
   if Array.length xs <> Array.length ys then invalid_arg "Kernel.residual_objective: length mismatch";
-  let residual params = Array.mapi (fun i x -> t.eval params x -. ys.(i)) xs in
-  let jacobian params =
-    let grad_rows = Array.map (fun x -> t.gradient params x) xs in
-    Mat.init (Array.length xs) t.arity (fun i j -> grad_rows.(i).(j))
+  let rows = Array.length xs in
+  let gradient_row = t.gradient ~xs in
+  let residual_into params r =
+    for i = 0 to rows - 1 do
+      r.(i) <- t.eval params xs.(i) -. ys.(i)
+    done
   in
-  { Lm.residual; jacobian }
+  let jacobian_into params jac =
+    for i = 0 to rows - 1 do
+      gradient_row params i jac
+    done
+  in
+  { Lm.rows; residual_into; jacobian_into }

@@ -13,9 +13,15 @@ type t = {
   eval : Vec.t -> float -> float;
       (** [eval params x] evaluates the function at core count [x].  May
           return non-finite values near poles; callers must filter. *)
-  gradient : Vec.t -> float -> Vec.t;
-      (** [gradient params x] is the derivative of [eval] with respect to
-          each coefficient, used as the Levenberg-Marquardt Jacobian row. *)
+  gradient : xs:float array -> Vec.t -> int -> float array -> unit;
+      (** [gradient ~xs] does the per-grid work once (rational kernels
+          tabulate [xs.(i)] to each power they need) and returns an
+          in-place row writer: [w params i jac] stores the derivative of
+          [eval params xs.(i)] with respect to coefficient [j] into
+          [jac.(i * arity + j)], row [i] of the row-major
+          Levenberg-Marquardt Jacobian.  The writer allocates no row of
+          its own and touches no other row, so it is safe to share
+          across domains filling distinct buffers. *)
   initial_guesses : xs:float array -> ys:float array -> Vec.t list;
       (** Candidate starting points for the nonlinear fit, typically from a
           linearised least-squares solve plus robust fallbacks.  May be
@@ -31,4 +37,6 @@ val applicable : t -> npoints:int -> bool
     coefficients. *)
 
 val residual_objective : t -> xs:float array -> ys:float array -> Lm.objective
-(** Least-squares objective for {!Lm.minimize}. *)
+(** In-place least-squares objective for {!Lm.minimize}: residuals
+    [eval params xs.(i) -. ys.(i)] and the Jacobian rows of [gradient ~xs],
+    staged once here and reused by every start and iteration. *)

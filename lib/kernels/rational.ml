@@ -16,16 +16,31 @@ let eval ~num_degree ~den_degree params x =
   let den = 1.0 +. (x *. horner params (num_degree + 1) (num_degree + den_degree) x) in
   num /. den
 
-let gradient ~num_degree ~den_degree params x =
+(* The powers x_i^j (j up to the larger degree) are tabulated once per
+   grid with the same Float.pow calls the row would otherwise repeat at
+   every iteration. *)
+let gradient ~num_degree ~den_degree ~xs =
   let arity = num_degree + den_degree + 1 in
-  let num = horner params 0 num_degree x in
-  let den = 1.0 +. (x *. horner params (num_degree + 1) (num_degree + den_degree) x) in
-  Vec.init arity (fun j ->
-      if j <= num_degree then Float.pow x (float_of_int j) /. den
-      else
-        let k = j - num_degree in
-        (* d/db_k of num/den = -num * x^k / den^2 *)
-        -.num *. Float.pow x (float_of_int k) /. (den *. den))
+  let width = max num_degree den_degree + 1 in
+  let powers = Array.make (Array.length xs * width) 0.0 in
+  Array.iteri
+    (fun i x ->
+      for j = 0 to width - 1 do
+        powers.((i * width) + j) <- Float.pow x (float_of_int j)
+      done)
+    xs;
+  fun params i jac ->
+    let x = xs.(i) in
+    let num = horner params 0 num_degree x in
+    let den = 1.0 +. (x *. horner params (num_degree + 1) (num_degree + den_degree) x) in
+    let row = i * arity and pows = i * width in
+    for j = 0 to num_degree do
+      jac.(row + j) <- powers.(pows + j) /. den
+    done;
+    for k = 1 to den_degree do
+      (* d/db_k of num/den = -num * x^k / den^2 *)
+      jac.(row + num_degree + k) <- -.num *. powers.(pows + k) /. (den *. den)
+    done
 
 (* Linearised initial guess: multiply out the denominator,
      a0 + a1 x + ... - y b1 x - y b2 x^2 - ... = y

@@ -11,9 +11,19 @@
     provided for tests and ad-hoc models. *)
 
 type objective = {
-  residual : Vec.t -> Vec.t;  (** [residual p] returns [f(p, x_i) - y_i] for all i. *)
-  jacobian : Vec.t -> Mat.t;  (** [jacobian p] returns [d residual_i / d p_j]. *)
+  rows : int;  (** Number of residuals [m]. *)
+  residual_into : Vec.t -> Vec.t -> unit;
+      (** [residual_into p r] stores [f(p, x_i) - y_i] into [r.(i)] for
+          every [i < rows]. *)
+  jacobian_into : Vec.t -> float array -> unit;
+      (** [jacobian_into p jac] stores [d residual_i / d p_j] into
+          [jac.(i * n + j)] (row-major, [n = Vec.dim p]). *)
 }
+(** An in-place least-squares objective: {!minimize} owns the buffers and
+    the objective only fills them, so an iteration allocates nothing of
+    its own.  Both writers must overwrite every entry they are given and
+    keep no reference to the buffers; they may run concurrently from
+    several domains on distinct buffers. *)
 
 type options = {
   max_iterations : int;       (** Outer iteration cap (default 200). *)
@@ -40,7 +50,10 @@ type result = {
 }
 
 val minimize : ?options:options -> objective -> init:Vec.t -> result
-(** Runs the iteration from [init].  Non-finite residuals at a trial point
+(** Runs the iteration from [init] in one workspace allocated for this
+    call (Jacobian, [J^T r], column norms, the stacked damped system and
+    its right-hand side, the step, and the current and trial points and
+    residuals); nothing is shared between calls.  Non-finite residuals at a trial point
     are treated as a rejected step (damping increases), so kernels with
     poles inside the search region are handled gracefully.  Raises
     [Invalid_argument] if [init] is empty or the residual at [init] is

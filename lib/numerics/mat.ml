@@ -25,8 +25,6 @@ let set m i j x =
   if i < 0 || i >= m.rows || j < 0 || j >= m.cols then invalid_arg "Mat.set: out of bounds";
   m.data.((i * m.cols) + j) <- x
 
-let copy m = { m with data = Array.copy m.data }
-
 let identity n = init n n (fun i j -> if i = j then 1.0 else 0.0)
 
 let of_arrays arr =
@@ -39,9 +37,7 @@ let of_arrays arr =
 
 let to_arrays m = Array.init m.rows (fun i -> Array.init m.cols (fun j -> get m i j))
 
-let row m i = Array.init m.cols (fun j -> get m i j)
-
-let col m j = Array.init m.rows (fun i -> get m i j)
+let to_row_major m = Array.copy m.data
 
 let transpose m = init m.cols m.rows (fun i j -> get m j i)
 
@@ -63,12 +59,6 @@ let mul_vec a v =
       done;
       !acc)
 
-let add a b =
-  if a.rows <> b.rows || a.cols <> b.cols then invalid_arg "Mat.add: dimension mismatch";
-  init a.rows a.cols (fun i j -> get a i j +. get b i j)
-
-let scale s a = { a with data = Array.map (fun x -> s *. x) a.data }
-
 let add_diagonal a mu =
   if a.rows <> a.cols then invalid_arg "Mat.add_diagonal: matrix must be square";
   init a.rows a.cols (fun i j -> if i = j then get a i j +. mu else get a i j)
@@ -76,10 +66,6 @@ let add_diagonal a mu =
 let scale_diagonal a mu =
   if a.rows <> a.cols then invalid_arg "Mat.scale_diagonal: matrix must be square";
   init a.rows a.cols (fun i j -> if i = j then get a i j *. (1.0 +. mu) else get a i j)
-
-let frobenius m = sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 m.data)
-
-let all_finite m = Array.for_all Float.is_finite m.data
 
 let pp ppf m =
   for i = 0 to m.rows - 1 do

@@ -19,8 +19,6 @@ val get : t -> int -> int -> float
 
 val set : t -> int -> int -> float -> unit
 
-val copy : t -> t
-
 val identity : int -> t
 
 val of_arrays : float array array -> t
@@ -28,9 +26,9 @@ val of_arrays : float array array -> t
 
 val to_arrays : t -> float array array
 
-val row : t -> int -> Vec.t
-
-val col : t -> int -> Vec.t
+val to_row_major : t -> float array
+(** A fresh copy of the entries, row after row: entry (i, j) is at
+    [i * cols + j].  The layout {!Qr.solve_least_squares_into} works on. *)
 
 val transpose : t -> t
 
@@ -39,18 +37,10 @@ val mul : t -> t -> t
 
 val mul_vec : t -> Vec.t -> Vec.t
 
-val add : t -> t -> t
-
-val scale : float -> t -> t
-
 val add_diagonal : t -> float -> t
 (** [add_diagonal a mu] returns [a + mu*I]; requires a square matrix. *)
 
 val scale_diagonal : t -> float -> t
 (** [scale_diagonal a mu] returns [a + mu*diag(a)] (Marquardt damping). *)
-
-val frobenius : t -> float
-
-val all_finite : t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -2,117 +2,117 @@ exception Singular
 
 let rank_tolerance = 1e-12
 
-(* Householder QR working on a mutable copy of [a] stored as arrays-of-rows.
-   After [factor], [r] holds R in its upper triangle and [vs] the reflector
-   vectors; [betas] the reflector scalars. *)
-let factor a =
-  let m = Mat.rows a and n = Mat.cols a in
-  let r = Mat.to_arrays a in
-  let vs = Array.make n [||] in
-  let betas = Array.make n 0.0 in
-  for k = 0 to min (m - 1) (n - 1) do
-    (* Build the Householder vector for column k, rows k..m-1. *)
-    let len = m - k in
-    let x = Array.init len (fun i -> r.(k + i).(k)) in
-    let alpha = Vec.norm2 x in
-    let alpha = if x.(0) >= 0.0 then -.alpha else alpha in
-    let v = Array.copy x in
-    v.(0) <- v.(0) -. alpha;
-    let vnorm2 = Vec.dot v v in
-    let beta = if vnorm2 <= 0.0 then 0.0 else 2.0 /. vnorm2 in
-    vs.(k) <- v;
+(* Householder QR in place on a row-major [rows x cols] array.  After
+   [factor], the upper triangle of [a] holds R.  Reflector k is
+   v = (heads.(k), a(k+1, k), ..., a(rows-1, k)) with scalar betas.(k):
+   column k below the diagonal still holds the entries it had when
+   reflector k was built, which are exactly v's tail, so the reflectors
+   need no storage of their own.  betas.(k) = 0 means no reflection. *)
+let factor a ~rows ~cols ~heads ~betas =
+  Array.fill betas 0 cols 0.0;
+  for k = 0 to min (rows - 1) (cols - 1) do
+    let norm2 = ref 0.0 in
+    for i = k to rows - 1 do
+      let x = a.((i * cols) + k) in
+      norm2 := !norm2 +. (x *. x)
+    done;
+    let alpha = sqrt !norm2 in
+    let x0 = a.((k * cols) + k) in
+    let alpha = if x0 >= 0.0 then -.alpha else alpha in
+    let v0 = x0 -. alpha in
+    let vnorm2 = ref (0.0 +. (v0 *. v0)) in
+    for i = k + 1 to rows - 1 do
+      let v = a.((i * cols) + k) in
+      vnorm2 := !vnorm2 +. (v *. v)
+    done;
+    let beta = if !vnorm2 <= 0.0 then 0.0 else 2.0 /. !vnorm2 in
+    heads.(k) <- v0;
     betas.(k) <- beta;
     if beta <> 0.0 then
-      (* Apply the reflector to the trailing submatrix. *)
-      for j = k to n - 1 do
-        let dot = ref 0.0 in
-        for i = 0 to len - 1 do
-          dot := !dot +. (v.(i) *. r.(k + i).(j))
+      (* Apply the reflector to the trailing submatrix.  Column k's own
+         entries below the diagonal would become (numerically) zero; they
+         are never read as part of R, so they keep v's tail instead. *)
+      for j = k to cols - 1 do
+        let dot = ref (0.0 +. (v0 *. a.((k * cols) + j))) in
+        for i = k + 1 to rows - 1 do
+          dot := !dot +. (a.((i * cols) + k) *. a.((i * cols) + j))
         done;
         let s = beta *. !dot in
-        for i = 0 to len - 1 do
-          r.(k + i).(j) <- r.(k + i).(j) -. (s *. v.(i))
-        done
+        a.((k * cols) + j) <- a.((k * cols) + j) -. (s *. v0);
+        if j > k then
+          for i = k + 1 to rows - 1 do
+            a.((i * cols) + j) <- a.((i * cols) + j) -. (s *. a.((i * cols) + k))
+          done
       done
-  done;
-  (r, vs, betas)
+  done
 
-(* Apply the stored reflectors to a right-hand side vector in place. *)
-let apply_qt vs betas b =
-  let m = Array.length b in
-  Array.iteri
-    (fun k v ->
-      let beta = betas.(k) in
-      if beta <> 0.0 then begin
-        let len = Array.length v in
-        ignore m;
-        let dot = ref 0.0 in
-        for i = 0 to len - 1 do
-          dot := !dot +. (v.(i) *. b.(k + i))
-        done;
-        let s = beta *. !dot in
-        for i = 0 to len - 1 do
-          b.(k + i) <- b.(k + i) -. (s *. v.(i))
-        done
-      end)
-    vs
+(* Apply reflector k of a factored [a] to the vector [b] in place. *)
+let reflect a ~rows ~cols ~heads ~betas k b =
+  let beta = betas.(k) in
+  if beta <> 0.0 then begin
+    let v0 = heads.(k) in
+    let dot = ref (0.0 +. (v0 *. b.(k))) in
+    for i = k + 1 to rows - 1 do
+      dot := !dot +. (a.((i * cols) + k) *. b.(i))
+    done;
+    let s = beta *. !dot in
+    b.(k) <- b.(k) -. (s *. v0);
+    for i = k + 1 to rows - 1 do
+      b.(i) <- b.(i) -. (s *. a.((i * cols) + k))
+    done
+  end
 
-let back_substitute r n b =
-  let x = Array.make n 0.0 in
+let back_substitute a ~cols b x =
   (* Scale the tolerance by the largest diagonal magnitude so rank detection
      is invariant to the overall scale of the system. *)
   let max_diag = ref 0.0 in
-  for k = 0 to n - 1 do
-    max_diag := Float.max !max_diag (Float.abs r.(k).(k))
+  for k = 0 to cols - 1 do
+    max_diag := Float.max !max_diag (Float.abs a.((k * cols) + k))
   done;
   let tol = rank_tolerance *. Float.max 1.0 !max_diag in
-  for i = n - 1 downto 0 do
+  for i = cols - 1 downto 0 do
     let acc = ref b.(i) in
-    for j = i + 1 to n - 1 do
-      acc := !acc -. (r.(i).(j) *. x.(j))
+    for j = i + 1 to cols - 1 do
+      acc := !acc -. (a.((i * cols) + j) *. x.(j))
     done;
-    if Float.abs r.(i).(i) <= tol then raise Singular;
-    x.(i) <- !acc /. r.(i).(i)
+    let d = a.((i * cols) + i) in
+    if Float.abs d <= tol then raise Singular;
+    x.(i) <- !acc /. d
+  done
+
+let solve_least_squares_into a ~rows ~cols ~heads ~betas b x =
+  factor a ~rows ~cols ~heads ~betas;
+  for k = 0 to min (rows - 1) (cols - 1) do
+    reflect a ~rows ~cols ~heads ~betas k b
   done;
-  x
+  back_substitute a ~cols b x
 
 let solve_least_squares a b =
-  let m = Mat.rows a and n = Mat.cols a in
-  if m <> Array.length b then invalid_arg "Qr.solve_least_squares: dimension mismatch";
-  if m < n then invalid_arg "Qr.solve_least_squares: underdetermined system";
-  let r, vs, betas = factor a in
-  let rhs = Array.copy b in
-  apply_qt vs betas rhs;
-  back_substitute r n rhs
+  let rows = Mat.rows a and cols = Mat.cols a in
+  if rows <> Array.length b then invalid_arg "Qr.solve_least_squares: dimension mismatch";
+  if rows < cols then invalid_arg "Qr.solve_least_squares: underdetermined system";
+  let x = Array.make cols 0.0 in
+  solve_least_squares_into (Mat.to_row_major a) ~rows ~cols ~heads:(Array.make cols 0.0)
+    ~betas:(Array.make cols 0.0) (Array.copy b) x;
+  x
 
 let solve_square a b =
   if Mat.rows a <> Mat.cols a then invalid_arg "Qr.solve_square: matrix not square";
   solve_least_squares a b
 
 let decompose a =
-  let m = Mat.rows a and n = Mat.cols a in
-  let r, vs, betas = factor a in
-  let rmat = Mat.init m n (fun i j -> if i <= j then r.(i).(j) else 0.0) in
-  (* Reconstruct Q by applying the reflectors to the identity columns. *)
-  let q = Mat.init m m (fun _ _ -> 0.0) in
-  for col = 0 to m - 1 do
-    let e = Array.init m (fun i -> if i = col then 1.0 else 0.0) in
-    (* Q e = H_0 H_1 ... H_k e: apply in reverse order of Q^T. *)
-    for k = Array.length vs - 1 downto 0 do
-      let v = vs.(k) and beta = betas.(k) in
-      if beta <> 0.0 then begin
-        let len = Array.length v in
-        let dot = ref 0.0 in
-        for i = 0 to len - 1 do
-          dot := !dot +. (v.(i) *. e.(k + i))
-        done;
-        let s = beta *. !dot in
-        for i = 0 to len - 1 do
-          e.(k + i) <- e.(k + i) -. (s *. v.(i))
-        done
-      end
+  let rows = Mat.rows a and cols = Mat.cols a in
+  let r = Mat.to_row_major a and heads = Array.make cols 0.0 and betas = Array.make cols 0.0 in
+  factor r ~rows ~cols ~heads ~betas;
+  let rmat = Mat.init rows cols (fun i j -> if i <= j then r.((i * cols) + j) else 0.0) in
+  (* Q e = H_0 H_1 ... H_k e: the reflectors in reverse order of Q^T. *)
+  let q = Mat.create rows rows 0.0 in
+  for col = 0 to rows - 1 do
+    let e = Array.init rows (fun i -> if i = col then 1.0 else 0.0) in
+    for k = min (rows - 1) (cols - 1) downto 0 do
+      reflect r ~rows ~cols ~heads ~betas k e
     done;
-    for i = 0 to m - 1 do
+    for i = 0 to rows - 1 do
       Mat.set q i col e.(i)
     done
   done;

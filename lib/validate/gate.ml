@@ -57,7 +57,15 @@ let perturbed_kernels () =
       {
         k with
         Kernel.eval = (fun p x -> k.Kernel.eval p x *. skew x);
-        gradient = (fun p x -> Array.map (fun g -> g *. skew x) (k.Kernel.gradient p x));
+        gradient =
+          (fun ~xs ->
+            let row = k.Kernel.gradient ~xs in
+            fun p i jac ->
+              row p i jac;
+              let s = skew xs.(i) in
+              for j = i * k.Kernel.arity to ((i + 1) * k.Kernel.arity) - 1 do
+                jac.(j) <- jac.(j) *. s
+              done);
       })
     Estima.Config.default.Estima.Config.kernels
 

@@ -61,7 +61,9 @@ let md5 s = Digest.to_hex (Digest.string s)
    coefficient can hide behind it; the exact bits of the predicted curve
    cannot. *)
 let md5_bits arrays =
-  md5 (String.concat " " (List.concat_map (fun a -> List.map (Printf.sprintf "%h") (Array.to_list a)) arrays))
+  md5
+    (String.concat " "
+       (List.concat_map (fun a -> List.map (Printf.sprintf "%h") (Array.to_list a)) arrays))
 
 let confidence_workload = "intruder"
 

@@ -13,7 +13,8 @@ let grid = Array.init 10 (fun i -> float_of_int (i + 1))
 let check_gradient (kernel : Kernel.t) params =
   Array.iter
     (fun x ->
-      let analytic = kernel.Kernel.gradient params x in
+      let analytic = Array.make kernel.Kernel.arity 0.0 in
+      kernel.Kernel.gradient ~xs:[| x |] params 0 analytic;
       let residual p = [| kernel.Kernel.eval p x |] in
       let fd = Lm.finite_difference_jacobian residual params in
       for j = 0 to kernel.Kernel.arity - 1 do

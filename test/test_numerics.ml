@@ -310,10 +310,22 @@ let test_linear_fit_too_few_points () =
 (* Lm                                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The in-place objective of an allocating residual function, with its
+   finite-difference Jacobian. *)
+let fd_objective ~rows residual =
+  {
+    Lm.rows;
+    residual_into = (fun p r -> Array.blit (residual p) 0 r 0 rows);
+    jacobian_into =
+      (fun p jac ->
+        let fd = Mat.to_row_major (Lm.finite_difference_jacobian residual p) in
+        Array.blit fd 0 jac 0 (Array.length fd));
+  }
+
 let rosenbrock_objective =
   (* Classic Rosenbrock in residual form: r = (1-a, 10(b-a^2)). *)
   let residual p = [| 1.0 -. p.(0); 10.0 *. (p.(1) -. (p.(0) *. p.(0))) |] in
-  { Lm.residual; jacobian = (fun p -> Lm.finite_difference_jacobian residual p) }
+  fd_objective ~rows:2 residual
 
 let test_lm_rosenbrock () =
   let result = Lm.minimize rosenbrock_objective ~init:[| -1.2; 1.0 |] in
@@ -326,7 +338,7 @@ let test_lm_exponential_fit () =
   let xs = [| 0.0; 1.0; 2.0; 3.0; 4.0 |] in
   let ys = Array.map (fun x -> 2.0 *. exp (0.5 *. x)) xs in
   let residual p = Array.mapi (fun i x -> (p.(0) *. exp (p.(1) *. x)) -. ys.(i)) xs in
-  let objective = { Lm.residual; jacobian = (fun p -> Lm.finite_difference_jacobian residual p) } in
+  let objective = fd_objective ~rows:(Array.length xs) residual in
   let result = Lm.minimize objective ~init:[| 1.0; 0.1 |] in
   check_float ~eps:1e-6 "a" 2.0 result.params.(0);
   check_float ~eps:1e-6 "b" 0.5 result.params.(1)
@@ -334,7 +346,7 @@ let test_lm_exponential_fit () =
 let test_lm_linear_exact_one_hop () =
   (* A linear residual should converge essentially immediately. *)
   let residual p = [| p.(0) -. 3.0; p.(1) +. 4.0 |] in
-  let objective = { Lm.residual; jacobian = (fun p -> Lm.finite_difference_jacobian residual p) } in
+  let objective = fd_objective ~rows:2 residual in
   let result = Lm.minimize objective ~init:[| 0.0; 0.0 |] in
   Alcotest.(check bool) "converged" true (result.outcome = Lm.Converged);
   check_float ~eps:1e-8 "p0" 3.0 result.params.(0);
@@ -346,13 +358,13 @@ let test_lm_pole_recovery () =
   let xs = [| 1.0; 2.0; 3.0 |] in
   let ys = Array.map (fun x -> 1.0 /. (x +. 0.5)) xs in
   let residual p = Array.mapi (fun i x -> (1.0 /. (x +. p.(0))) -. ys.(i)) xs in
-  let objective = { Lm.residual; jacobian = (fun p -> Lm.finite_difference_jacobian residual p) } in
+  let objective = fd_objective ~rows:(Array.length xs) residual in
   let result = Lm.minimize objective ~init:[| 2.0 |] in
   check_float ~eps:1e-6 "pole offset" 0.5 result.params.(0)
 
 let test_lm_nonfinite_init_rejected () =
   let residual p = [| 1.0 /. p.(0) |] in
-  let objective = { Lm.residual; jacobian = (fun p -> Lm.finite_difference_jacobian residual p) } in
+  let objective = fd_objective ~rows:1 residual in
   Alcotest.check_raises "non-finite init"
     (Invalid_argument "Lm.minimize: non-finite residual at initial point") (fun () ->
       ignore (Lm.minimize objective ~init:[| 0.0 |]))
@@ -365,6 +377,30 @@ let test_lm_finite_difference_accuracy () =
   check_float ~eps:1e-6 "d(r1)/d(p1)" (cos 0.7) (Mat.get jac 1 1);
   check_float ~eps:1e-6 "d(r2)/d(p0)" 0.7 (Mat.get jac 2 0);
   check_float ~eps:1e-6 "d(r2)/d(p1)" 1.5 (Mat.get jac 2 1)
+
+(* Allocation budget: an iteration works in the workspace [minimize]
+   allocates once per call, so what is left per iteration is the
+   objective's own boxed floats.  This Rat33 fit of a noisy saturating
+   curve from a neutral start runs 49 iterations; the implementation
+   that rebuilt the stacked system, its QR copy and the Jacobian rows on
+   every damping step allocated about 4,000 minor words per iteration
+   here. *)
+let test_lm_allocation_budget () =
+  let xs = Array.init 12 (fun i -> float_of_int (i + 1)) in
+  let ys =
+    Array.map
+      (fun x -> ((1.0 +. (0.3 *. x) +. (0.02 *. x *. x)) /. (1.0 +. (0.05 *. x))) +. (0.01 *. sin (3.0 *. x)))
+      xs
+  in
+  let objective = Estima_kernels.Kernel.residual_objective Estima_kernels.Rational.rat33 ~xs ~ys in
+  let init = [| 1.0; 0.0; 0.0; 0.0; 0.0; 0.0; 0.0 |] in
+  let before = Gc.minor_words () in
+  let result = Lm.minimize objective ~init in
+  let words = Gc.minor_words () -. before in
+  if result.iterations < 20 then Alcotest.failf "only %d iterations; the budget needs a long run" result.iterations;
+  let per_iteration = words /. float_of_int result.iterations in
+  if per_iteration > 1000.0 then
+    Alcotest.failf "%.0f minor words per iteration (budget 1000)" per_iteration
 
 let suite =
   [
@@ -414,4 +450,5 @@ let suite =
     ("lm pole recovery", `Quick, test_lm_pole_recovery);
     ("lm nonfinite init rejected", `Quick, test_lm_nonfinite_init_rejected);
     ("lm finite difference accuracy", `Quick, test_lm_finite_difference_accuracy);
+    ("lm allocation budget", `Quick, test_lm_allocation_budget);
   ]

@@ -96,7 +96,8 @@ let prop_kernel_gradient_matches_fd =
       let params = Array.init kernel.Kernel.arity (fun i -> 0.5 /. float_of_int (i + 1)) in
       let v = kernel.Kernel.eval params x in
       QCheck.assume (Float.is_finite v);
-      let g = kernel.Kernel.gradient params x in
+      let g = Array.make kernel.Kernel.arity 0.0 in
+      kernel.Kernel.gradient ~xs:[| x |] params 0 g;
       let residual p = [| kernel.Kernel.eval p x |] in
       let fd = Estima_numerics.Lm.finite_difference_jacobian residual params in
       Array.for_all Fun.id
