@@ -5,7 +5,6 @@
 
 open Estima_machine
 open Estima_workloads
-open Estima_counters
 open Estima
 module Pool = Estima_par.Pool
 module Fanout = Estima_par.Fanout
