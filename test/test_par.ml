@@ -235,15 +235,32 @@ let trace_json entry series jobs =
           ignore (Estima_obs.Recorder.record recorder (fun () -> predict_entry entry series));
           Estima_obs.Trace_render.json_of_recorder recorder))
 
+(* golden/trace_json.txt pins the jobs-1 trace JSON across builds, one
+   "<workload> <md5>" line each; bless by deleting the file and copying
+   the printed actual contents in. *)
+let trace_json_golden () =
+  match List.find_opt Sys.file_exists [ "golden"; "test/golden" ] with
+  | Some dir -> Filename.concat dir "trace_json.txt"
+  | None -> Alcotest.fail "test/golden not reachable from the test's working directory"
+
 let test_traces_byte_identical () =
-  List.iter
-    (fun name ->
-      let entry = Option.get (Suite.find name) in
-      let series = collect_entry entry in
-      let seq = trace_json entry series 1 in
-      let par = trace_json entry series 4 in
-      Alcotest.(check string) (name ^ " trace JSON") seq par)
-    [ "intruder"; "kmeans"; "vacation-low" ]
+  let digests =
+    List.map
+      (fun name ->
+        let entry = Option.get (Suite.find name) in
+        let series = collect_entry entry in
+        let seq = trace_json entry series 1 in
+        let par = trace_json entry series 4 in
+        Alcotest.(check string) (name ^ " trace JSON") seq par;
+        Printf.sprintf "%s %s" name (Digest.to_hex (Digest.string seq)))
+      [ "intruder"; "kmeans"; "vacation-low" ]
+  in
+  let path = trace_json_golden () in
+  if not (Sys.file_exists path) then
+    Alcotest.failf "golden %s missing; expected contents:\n%s\n" path (String.concat "\n" digests)
+  else
+    let expected = In_channel.with_open_bin path In_channel.input_all in
+    Alcotest.(check string) "trace JSON digests" expected (String.concat "\n" digests ^ "\n")
 
 let test_repro_output_byte_identical () =
   (* Two experiments through [run_many], so the jobs=4 run exercises the
