@@ -1,14 +1,16 @@
-(** A minimal JSON reader/writer for the wire protocol.
+(** The repository's one JSON reader/writer.
 
-    The service speaks newline-delimited JSON; each request and response
-    is one value on one line.  This covers exactly what the protocol
-    needs — objects, arrays, strings, integers, floats, booleans, null —
-    with no dependency beyond the stdlib.
+    Every JSON byte the system emits goes through it: the service's
+    newline-delimited wire protocol (one value per line), trace and
+    audit JSON, validation reports and golden files, and the BENCH
+    trajectory files.  It covers objects, arrays, strings, integers,
+    floats, booleans and null, with no dependency beyond the stdlib.
 
     Printing is canonical enough for tests to byte-compare responses:
     object members print in the order given, strings escape the
-    mandatory characters only, integers print as integers, and the
-    printer never emits a newline (so one value is always one line). *)
+    mandatory characters only, integers print as integers, floats print
+    as [%.17g] (non-finite ones as [null]), and {!to_string} never emits
+    a newline (so one value is always one line). *)
 
 type t =
   | Null
@@ -26,6 +28,12 @@ val parse : string -> (t, string) result
 
 val to_string : t -> string
 (** Canonical one-line rendering. *)
+
+val pretty : t -> string
+(** Multi-line, 2-space-indented rendering (still read by {!parse});
+    ends in a newline.  Scalars print exactly as {!to_string} prints
+    them.  Golden files and BENCH files are written in this form so
+    drifts show as reviewable diffs. *)
 
 (** {1 Accessors} — each returns [None] on a shape mismatch. *)
 

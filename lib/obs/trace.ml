@@ -67,8 +67,6 @@ let stall_stage = "stall-fit"
 
 let factor_stage = "factor-fit"
 
-let fit_stage = "kernel-fit"
-
 let factor_subject = "scaling-factor"
 
 let default_clock () = Int64.of_float (Sys.time () *. 1e9)

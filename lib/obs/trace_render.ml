@@ -31,6 +31,8 @@ let pp_record ppf (r : Audit.record) =
     r.Audit.decisions;
   Format.fprintf ppf "@]"
 
+(* Per-subject detail: the winner line followed by every candidate with
+   its verdict (and rejection gate), score and explanation. *)
 let pp_audit ppf audit =
   Format.fprintf ppf "@[<v>";
   List.iteri
@@ -38,40 +40,6 @@ let pp_audit ppf audit =
       if i > 0 then Format.fprintf ppf "@,";
       pp_record ppf r)
     audit;
-  Format.fprintf ppf "@]"
-
-let fit_status_to_string = function
-  | Trace.Fitted { rmse; lm_converged } ->
-      Printf.sprintf "fitted rmse=%.4g%s" rmse (if lm_converged then "" else " (lm not converged)")
-  | Trace.Not_applicable -> "not-applicable"
-  | Trace.No_guesses -> "no-guesses"
-  | Trace.Diverged -> "diverged"
-
-let pp_event ppf (e : Trace.event) =
-  let where = match e.Trace.span with [] -> "" | path -> String.concat "/" path ^ " " in
-  match e.Trace.payload with
-  | Trace.Fit_attempt { kernel; points; status } ->
-      Format.fprintf ppf "#%-4d %sfit %s on %d points: %s" e.Trace.seq where kernel points
-        (fit_status_to_string status)
-  | Trace.Candidate { stage; subject; kernel; prefix; verdict; score; detail } ->
-      Format.fprintf ppf "#%-4d %s[%s] %s: %s@%d %s score=%s %s" e.Trace.seq where stage subject
-        kernel prefix (verdict_to_string verdict) (score_to_string score) detail
-  | Trace.Decision { stage; subject; incumbent; challenger; winner; rule; detail } ->
-      Format.fprintf ppf "#%-4d %s[%s] %s: %s vs %s -> %s by %s (%s)" e.Trace.seq where stage
-        subject incumbent challenger winner rule detail
-  | Trace.Winner { stage; subject; kernel; prefix; score; correlation } ->
-      Format.fprintf ppf "#%-4d %s[%s] %s: winner %s@%d score=%s%s" e.Trace.seq where stage subject
-        kernel prefix (score_to_string score)
-        (if Float.is_finite correlation then Printf.sprintf " corr=%.4f" correlation else "")
-  | Trace.Note { stage; subject; text } ->
-      Format.fprintf ppf "#%-4d %s[%s] %s: %s" e.Trace.seq where stage subject text
-  | Trace.Diagnostic { stage; subject; cause; detail } ->
-      Format.fprintf ppf "#%-4d %s[%s] %s: DIAGNOSTIC %s: %s" e.Trace.seq where stage subject cause
-        detail
-
-let pp_events ppf events =
-  Format.fprintf ppf "@[<v>";
-  List.iter (fun e -> Format.fprintf ppf "%a@," pp_event e) events;
   Format.fprintf ppf "@]"
 
 let pp_span_stats ppf stats =
@@ -103,205 +71,153 @@ let pp_recorder ppf recorder =
 
 (* ------------------------------- JSON ------------------------------- *)
 
-let escape_json buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+let verdict_members = function
+  | Trace.Accepted -> [ ("verdict", Json.String "accepted"); ("gate", Json.Null) ]
+  | Trace.Rejected gate ->
+      [ ("verdict", Json.String "rejected"); ("gate", Json.String (Trace.gate_to_string gate)) ]
 
-let json_float buf f =
-  if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.17g" f)
-  else Buffer.add_string buf "null"
+let strings items = Json.List (List.map (fun s -> Json.String s) items)
 
-let json_fields buf fields =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, emit_value) ->
-      if i > 0 then Buffer.add_char buf ',';
-      escape_json buf k;
-      Buffer.add_char buf ':';
-      emit_value buf)
-    fields;
-  Buffer.add_char buf '}'
-
-let json_list buf emit_item items =
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i item ->
-      if i > 0 then Buffer.add_char buf ',';
-      emit_item buf item)
-    items;
-  Buffer.add_char buf ']'
-
-let str s buf = escape_json buf s
-
-let num f buf = json_float buf f
-
-let int_ n buf = Buffer.add_string buf (string_of_int n)
-
-let bool_ b buf = Buffer.add_string buf (if b then "true" else "false")
-
-let json_payload buf (p : Trace.payload) =
+let json_payload (p : Trace.payload) : Json.t =
+  let open Json in
   match p with
   | Trace.Fit_attempt { kernel; points; status } ->
-      let status_fields =
+      let status_members =
         match status with
         | Trace.Fitted { rmse; lm_converged } ->
-            [ ("status", str "fitted"); ("rmse", num rmse); ("lm_converged", bool_ lm_converged) ]
-        | Trace.Not_applicable -> [ ("status", str "not-applicable") ]
-        | Trace.No_guesses -> [ ("status", str "no-guesses") ]
-        | Trace.Diverged -> [ ("status", str "diverged") ]
+            [
+              ("status", String "fitted"); ("rmse", Float rmse); ("lm_converged", Bool lm_converged);
+            ]
+        | Trace.Not_applicable -> [ ("status", String "not-applicable") ]
+        | Trace.No_guesses -> [ ("status", String "no-guesses") ]
+        | Trace.Diverged -> [ ("status", String "diverged") ]
       in
-      json_fields buf
-        ([ ("type", str "fit_attempt"); ("kernel", str kernel); ("points", int_ points) ]
-        @ status_fields)
+      Obj
+        ([ ("type", String "fit_attempt"); ("kernel", String kernel); ("points", Int points) ]
+        @ status_members)
   | Trace.Candidate { stage; subject; kernel; prefix; verdict; score; detail } ->
-      json_fields buf
-        [
-          ("type", str "candidate");
-          ("stage", str stage);
-          ("subject", str subject);
-          ("kernel", str kernel);
-          ("prefix", int_ prefix);
-          ( "verdict",
-            str (match verdict with Trace.Accepted -> "accepted" | Trace.Rejected _ -> "rejected") );
-          ( "gate",
-            fun buf ->
-              match verdict with
-              | Trace.Accepted -> Buffer.add_string buf "null"
-              | Trace.Rejected gate -> escape_json buf (Trace.gate_to_string gate) );
-          ("score", num score);
-          ("detail", str detail);
-        ]
+      Obj
+        ([
+           ("type", String "candidate");
+           ("stage", String stage);
+           ("subject", String subject);
+           ("kernel", String kernel);
+           ("prefix", Int prefix);
+         ]
+        @ verdict_members verdict
+        @ [ ("score", Float score); ("detail", String detail) ])
   | Trace.Decision { stage; subject; incumbent; challenger; winner; rule; detail } ->
-      json_fields buf
+      Obj
         [
-          ("type", str "decision");
-          ("stage", str stage);
-          ("subject", str subject);
-          ("incumbent", str incumbent);
-          ("challenger", str challenger);
-          ("winner", str winner);
-          ("rule", str rule);
-          ("detail", str detail);
+          ("type", String "decision");
+          ("stage", String stage);
+          ("subject", String subject);
+          ("incumbent", String incumbent);
+          ("challenger", String challenger);
+          ("winner", String winner);
+          ("rule", String rule);
+          ("detail", String detail);
         ]
   | Trace.Winner { stage; subject; kernel; prefix; score; correlation } ->
-      json_fields buf
+      Obj
         [
-          ("type", str "winner");
-          ("stage", str stage);
-          ("subject", str subject);
-          ("kernel", str kernel);
-          ("prefix", int_ prefix);
-          ("score", num score);
-          ("correlation", num correlation);
+          ("type", String "winner");
+          ("stage", String stage);
+          ("subject", String subject);
+          ("kernel", String kernel);
+          ("prefix", Int prefix);
+          ("score", Float score);
+          ("correlation", Float correlation);
         ]
   | Trace.Note { stage; subject; text } ->
-      json_fields buf
-        [ ("type", str "note"); ("stage", str stage); ("subject", str subject); ("text", str text) ]
-  | Trace.Diagnostic { stage; subject; cause; detail } ->
-      json_fields buf
+      Obj
         [
-          ("type", str "diagnostic");
-          ("stage", str stage);
-          ("subject", str subject);
-          ("cause", str cause);
-          ("detail", str detail);
+          ("type", String "note");
+          ("stage", String stage);
+          ("subject", String subject);
+          ("text", String text);
+        ]
+  | Trace.Diagnostic { stage; subject; cause; detail } ->
+      Obj
+        [
+          ("type", String "diagnostic");
+          ("stage", String stage);
+          ("subject", String subject);
+          ("cause", String cause);
+          ("detail", String detail);
         ]
 
-let json_event buf (e : Trace.event) =
-  json_fields buf
+(* Timestamps are int64 nanoseconds; Int64.to_int is exact on the 64-bit
+   targets OCaml 5 supports. *)
+let json_event (e : Trace.event) =
+  Json.Obj
     [
-      ("seq", int_ e.Trace.seq);
-      ("at_ns", fun buf -> Buffer.add_string buf (Int64.to_string e.Trace.at_ns));
-      ("span", fun buf -> json_list buf (fun buf s -> escape_json buf s) e.Trace.span);
-      ("payload", fun buf -> json_payload buf e.Trace.payload);
+      ("seq", Json.Int e.Trace.seq);
+      ("at_ns", Json.Int (Int64.to_int e.Trace.at_ns));
+      ("span", strings e.Trace.span);
+      ("payload", json_payload e.Trace.payload);
     ]
 
-let json_candidate buf (c : Audit.candidate) =
-  json_fields buf
-    [
-      ("kernel", str c.Audit.kernel);
-      ("prefix", int_ c.Audit.prefix);
-      ( "verdict",
-        str (match c.Audit.verdict with Trace.Accepted -> "accepted" | Trace.Rejected _ -> "rejected")
-      );
-      ( "gate",
-        fun buf ->
-          match c.Audit.verdict with
-          | Trace.Accepted -> Buffer.add_string buf "null"
-          | Trace.Rejected gate -> escape_json buf (Trace.gate_to_string gate) );
-      ("score", num c.Audit.score);
-      ("detail", str c.Audit.detail);
-    ]
+let json_candidate (c : Audit.candidate) =
+  Json.Obj
+    ([ ("kernel", Json.String c.Audit.kernel); ("prefix", Json.Int c.Audit.prefix) ]
+    @ verdict_members c.Audit.verdict
+    @ [ ("score", Json.Float c.Audit.score); ("detail", Json.String c.Audit.detail) ])
 
-let json_record buf (r : Audit.record) =
-  json_fields buf
+let json_record (r : Audit.record) =
+  let open Json in
+  Obj
     [
-      ("stage", str r.Audit.stage);
-      ("subject", str r.Audit.subject);
+      ("stage", String r.Audit.stage);
+      ("subject", String r.Audit.subject);
       ( "winner",
-        fun buf ->
-          match r.Audit.winner with
-          | None -> Buffer.add_string buf "null"
-          | Some w ->
-              json_fields buf
-                [
-                  ("kernel", str w.Audit.kernel);
-                  ("prefix", int_ w.Audit.prefix);
-                  ("score", num w.Audit.score);
-                  ("correlation", num w.Audit.correlation);
-                ] );
-      ("candidates", fun buf -> json_list buf json_candidate r.Audit.candidates);
+        match r.Audit.winner with
+        | None -> Null
+        | Some w ->
+            Obj
+              [
+                ("kernel", String w.Audit.kernel);
+                ("prefix", Int w.Audit.prefix);
+                ("score", Float w.Audit.score);
+                ("correlation", Float w.Audit.correlation);
+              ] );
+      ("candidates", List (List.map json_candidate r.Audit.candidates));
       ( "decisions",
-        fun buf ->
-          json_list buf
-            (fun buf (d : Audit.decision) ->
-              json_fields buf
-                [
-                  ("incumbent", str d.Audit.incumbent);
-                  ("challenger", str d.Audit.challenger);
-                  ("winner", str d.Audit.winner);
-                  ("rule", str d.Audit.rule);
-                  ("detail", str d.Audit.detail);
-                ])
-            r.Audit.decisions );
-      ("notes", fun buf -> json_list buf (fun buf n -> escape_json buf n) r.Audit.notes);
+        List
+          (List.map
+             (fun (d : Audit.decision) ->
+               Obj
+                 [
+                   ("incumbent", String d.Audit.incumbent);
+                   ("challenger", String d.Audit.challenger);
+                   ("winner", String d.Audit.winner);
+                   ("rule", String d.Audit.rule);
+                   ("detail", String d.Audit.detail);
+                 ])
+             r.Audit.decisions) );
+      ("notes", strings r.Audit.notes);
     ]
 
 let json_of_recorder recorder =
-  let buf = Buffer.create 4096 in
   let events = Recorder.events recorder in
-  let audit = Audit.of_events events in
-  json_fields buf
-    [
-      ("events", fun buf -> json_list buf json_event events);
-      ("audit", fun buf -> json_list buf json_record audit);
-      ( "spans",
-        fun buf ->
-          json_list buf
-            (fun buf (s : Recorder.span_stat) ->
-              json_fields buf
-                [
-                  ("path", fun buf -> json_list buf (fun buf p -> escape_json buf p) s.Recorder.path);
-                  ("count", int_ s.Recorder.count);
-                  ( "total_ns",
-                    fun buf -> Buffer.add_string buf (Int64.to_string s.Recorder.total_ns) );
-                ])
-            (Recorder.span_stats recorder) );
-      ( "counters",
-        fun buf ->
-          json_fields buf
-            (List.map (fun (name, v) -> (name, int_ v)) (Recorder.counters recorder)) );
-    ];
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+  let json =
+    Json.Obj
+      [
+        ("events", Json.List (List.map json_event events));
+        ("audit", Json.List (List.map json_record (Audit.of_events events)));
+        ( "spans",
+          Json.List
+            (List.map
+               (fun (s : Recorder.span_stat) ->
+                 Json.Obj
+                   [
+                     ("path", strings s.Recorder.path);
+                     ("count", Json.Int s.Recorder.count);
+                     ("total_ns", Json.Int (Int64.to_int s.Recorder.total_ns));
+                   ])
+               (Recorder.span_stats recorder)) );
+        ( "counters",
+          Json.Obj (List.map (fun (name, v) -> (name, Json.Int v)) (Recorder.counters recorder)) );
+      ]
+  in
+  Json.to_string json ^ "\n"

@@ -1,15 +1,8 @@
 (** Text and JSON renderers for traces, audits, span timings and counters.
 
-    The JSON renderer is hand-rolled (the repository carries no JSON
-    dependency): strings are escaped per RFC 8259 and non-finite floats
-    are rendered as [null]. *)
-
-val pp_audit : Format.formatter -> Audit.t -> unit
-(** Per-subject detail: the winner line followed by every candidate with
-    its verdict (and rejection gate), score and explanation. *)
-
-val pp_events : Format.formatter -> Trace.event list -> unit
-(** Flat chronological event listing. *)
+    The JSON renderer builds {!Json.t} values and prints them with
+    {!Json.to_string}, so strings are escaped per RFC 8259, floats print
+    as [%.17g] and non-finite floats as [null]. *)
 
 val pp_span_stats : Format.formatter -> Recorder.span_stat list -> unit
 

@@ -12,6 +12,8 @@ type source = {
   protocol : Report.protocol;
 }
 
+(* Score a prediction against [source.truth] over the extrapolated
+   region; raises [Invalid_argument] on misaligned curves. *)
 let quality_of source (prediction : Estima.Predictor.t) =
   Quality.evaluate
     ~predicted:prediction.Estima.Predictor.predicted_times

@@ -13,11 +13,6 @@ open Estima_workloads
 
 type spec = { entry : Suite.entry; protocol : Report.protocol }
 
-val opteron_protocol : Suite.entry -> Report.protocol
-(** The paper's headline protocol: measure 1 Opteron socket up to 12
-    cores, predict the full 48-core machine ([seed 42], 5 repetitions,
-    software plugins on exactly when the workload has them — the Table 4
-    configuration). *)
 
 val default_names : string list
 (** The 8 default corpus workloads, in run order. *)

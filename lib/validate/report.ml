@@ -1,4 +1,4 @@
-module Json = Estima_service.Json
+module Json = Estima_obs.Json
 module Quality = Estima.Diag.Quality
 module Stats = Estima_numerics.Stats
 
@@ -309,46 +309,6 @@ let summary_of_json json =
       confusion;
       invariant_ok;
     }
-
-(* --- pretty printer --- *)
-
-let pretty json =
-  let buf = Buffer.create 1024 in
-  let pad n = Buffer.add_string buf (String.make n ' ') in
-  (* Scalars and short leaf lists reuse the canonical one-line form so
-     numbers stay bit-exact with Json.to_string. *)
-  let rec go indent = function
-    | Json.Obj [] -> Buffer.add_string buf "{}"
-    | Json.Obj members ->
-        Buffer.add_string buf "{\n";
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_string buf ",\n";
-            pad (indent + 2);
-            Buffer.add_string buf (Json.to_string (Json.String k));
-            Buffer.add_string buf ": ";
-            go (indent + 2) v)
-          members;
-        Buffer.add_char buf '\n';
-        pad indent;
-        Buffer.add_char buf '}'
-    | Json.List [] -> Buffer.add_string buf "[]"
-    | Json.List items ->
-        Buffer.add_string buf "[\n";
-        List.iteri
-          (fun i v ->
-            if i > 0 then Buffer.add_string buf ",\n";
-            pad (indent + 2);
-            go (indent + 2) v)
-          items;
-        Buffer.add_char buf '\n';
-        pad indent;
-        Buffer.add_char buf ']'
-    | leaf -> Buffer.add_string buf (Json.to_string leaf)
-  in
-  go 0 json;
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
 
 (* --- text rendering --- *)
 

@@ -82,6 +82,13 @@ let test_json_strictness () =
       "--1";
       "5-";
       "1e5e5";
+      "01";
+      "-01";
+      "00";
+      "5.";
+      "1.e5";
+      "-.5";
+      "{\"id\":007}";
     ];
   (* ...while the legitimate neighbours still parse. *)
   List.iter
@@ -96,6 +103,9 @@ let test_json_strictness () =
       ("1e+5", Json.Float 100000.0);
       ("2E-3", Json.Float 0.002);
       ("-1.5e-3", Json.Float (-0.0015));
+      ("0", Json.Int 0);
+      ("-0.5", Json.Float (-0.5));
+      ("10e2", Json.Float 1000.0);
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -83,7 +83,7 @@ let test_report_roundtrip () =
 
 let test_report_rejects_damage () =
   let reject json = match Report.of_json json with Ok _ -> Alcotest.fail "accepted damaged report" | Error _ -> () in
-  let open Estima_service.Json in
+  let open Estima_obs.Json in
   reject Null;
   reject (Obj [ ("schema", Int 999) ]);
   (* Drop one required member. *)
@@ -91,12 +91,25 @@ let test_report_rejects_damage () =
   | Obj members -> reject (Obj (List.remove_assoc "errors" members))
   | _ -> Alcotest.fail "report JSON is not an object");
   (* Pretty text re-parses to the same document. *)
-  match parse (Report.pretty (Report.to_json synthetic_report)) with
+  (match parse (pretty (Report.to_json synthetic_report)) with
   | Ok json -> (
       match Report.of_json json with
       | Ok back -> Alcotest.(check bool) "pretty re-parses" true (back = synthetic_report)
       | Error e -> Alcotest.fail e)
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail e);
+  (* ... and every blessed golden file is a fixpoint of parse then
+     pretty, which pins the golden writer's layout and number format. *)
+  let files =
+    List.filter (fun f -> Filename.check_suffix f ".json") (Array.to_list (Sys.readdir "golden"))
+  in
+  Alcotest.(check bool) "golden JSON files found" true (files <> []);
+  List.iter
+    (fun file ->
+      let text = In_channel.with_open_bin (Filename.concat "golden" file) In_channel.input_all in
+      match parse text with
+      | Ok json -> Alcotest.(check string) (file ^ " is a pretty fixpoint") text (pretty json)
+      | Error e -> Alcotest.failf "%s: %s" file e)
+    (List.sort compare files)
 
 let test_golden_tolerance () =
   let golden = synthetic_report in
