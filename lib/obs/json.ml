@@ -270,8 +270,8 @@ let to_string value =
 let pretty json =
   let buf = Buffer.create 1024 in
   let pad n = Buffer.add_string buf (String.make n ' ') in
-  (* Scalars and short leaf lists reuse the canonical one-line form so
-     numbers stay bit-exact with to_string. *)
+  (* Scalars reuse the canonical one-line form so numbers stay bit-exact
+     with to_string. *)
   let rec go indent = function
     | Obj [] -> Buffer.add_string buf "{}"
     | Obj members ->
