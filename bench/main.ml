@@ -405,6 +405,12 @@ let serve_scaling () =
                   ("p90_s", Json.Float (q 0.9));
                   ("p99_s", Json.Float (q 0.99));
                   ("max_s", Json.Float max_s);
+                  ( "kinds",
+                    Json.Obj
+                      (List.map
+                         (fun (kind, p50, p99) ->
+                           (kind, Json.Obj [ ("p50_s", Json.Float p50); ("p99_s", Json.Float p99) ]))
+                         (Report.kind_quantiles report)) );
                 ] ))
           client_settings)
       jobs_settings

@@ -57,7 +57,7 @@ let queue_arg =
     value & opt int 64
     & info [ "queue" ] ~docv:"N"
         ~doc:
-          "Bounded request queue: at most $(docv) predict requests are admitted per batch;            the rest are shed with a typed `overloaded` error (exit_code 4 on the wire).")
+          "In-flight bound: at most $(docv) predict requests may be admitted and not yet            answered, across every connection; the rest are shed with a typed `overloaded`            error (exit_code 4 on the wire).")
 
 let cache_arg =
   Arg.(

@@ -25,6 +25,7 @@ type outcome = {
   mismatches : mismatch list;
   elapsed_s : float;
   latency : Metrics.Histogram.snapshot;
+  latency_by_kind : (Generator.kind * Metrics.Histogram.snapshot) list;
 }
 
 let clean o =
@@ -117,7 +118,7 @@ type client_result = {
    pending queue — the transports answer each connection's lines in wire
    order, so any reordering shows up as a mismatch, which is exactly
    what we want the harness to catch. *)
-let run_client ~client ~pacing ~timeout_s ~hist conn (stream : Generator.request array) =
+let run_client ~client ~pacing ~timeout_s ~hist ~kind_hist conn (stream : Generator.request array) =
   let n = Array.length stream in
   let pending : (Generator.request * float) Queue.t = Queue.create () in
   let buf = Buffer.create 4096 in
@@ -138,7 +139,9 @@ let run_client ~client ~pacing ~timeout_s ~hist conn (stream : Generator.request
   in
   let consume_line line =
     let request, sent_at = Queue.pop pending in
-    Metrics.Histogram.observe hist (Unix.gettimeofday () -. sent_at);
+    let latency = Unix.gettimeofday () -. sent_at in
+    Metrics.Histogram.observe hist latency;
+    Metrics.Histogram.observe (kind_hist request.Generator.kind) latency;
     incr received;
     if String.equal line request.Generator.expected then incr matched
     else begin
@@ -213,6 +216,7 @@ let run ?(pacing = Closed_loop) ?(timeout_s = 120.0) target (plan : Generator.pl
   | _ -> ());
   let registry = Metrics.create () in
   let hist = Metrics.histogram registry "load_latency_seconds" in
+  let kind_hist kind = Metrics.histogram registry ("load_latency_seconds_" ^ Generator.kind_label kind) in
   let started = Unix.gettimeofday () in
   let domains =
     Array.mapi
@@ -220,7 +224,7 @@ let run ?(pacing = Closed_loop) ?(timeout_s = 120.0) target (plan : Generator.pl
         (* Connect in the parent so an unreachable server raises here
            rather than dying inside a domain. *)
         let conn = connect target in
-        Domain.spawn (fun () -> run_client ~client ~pacing ~timeout_s ~hist conn stream))
+        Domain.spawn (fun () -> run_client ~client ~pacing ~timeout_s ~hist ~kind_hist conn stream))
       plan.Generator.streams
   in
   let results = Array.map Domain.join domains in
@@ -237,6 +241,12 @@ let run ?(pacing = Closed_loop) ?(timeout_s = 120.0) target (plan : Generator.pl
       |> List.filteri (fun i _ -> i < max_recorded_mismatches);
     elapsed_s;
     latency = Metrics.Histogram.snapshot hist;
+    latency_by_kind =
+      List.filter_map
+        (fun kind ->
+          let snapshot = Metrics.Histogram.snapshot (kind_hist kind) in
+          if snapshot.Metrics.Histogram.count = 0 then None else Some (kind, snapshot))
+        Generator.all_kinds;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -52,6 +52,9 @@ type outcome = {
   mismatches : mismatch list;  (** The first few, for diagnosis. *)
   elapsed_s : float;  (** Wall time from first send to last response. *)
   latency : Estima_obs.Metrics.Histogram.snapshot;
+  latency_by_kind : (Generator.kind * Estima_obs.Metrics.Histogram.snapshot) list;
+      (** The same latencies split by request kind, for the kinds that
+          were answered, in {!Generator.all_kinds} order. *)
 }
 
 val clean : outcome -> bool

@@ -30,6 +30,8 @@ let suite_payloads ?(seed = 42) ?(repetitions = 3) ?(max_threads = 12) ~machine 
 
 type kind = Predict_v1 | Predict_v2 | Workload | Confidence | Malformed
 
+let all_kinds = [ Predict_v1; Predict_v2; Workload; Confidence; Malformed ]
+
 let kind_label = function
   | Predict_v1 -> "predict_v1"
   | Predict_v2 -> "predict_v2"

@@ -41,6 +41,9 @@ val suite_payloads :
 
 type kind = Predict_v1 | Predict_v2 | Workload | Confidence | Malformed
 
+val all_kinds : kind list
+(** Every kind, in the order above. *)
+
 val kind_label : kind -> string
 (** ["predict_v1"], ["predict_v2"], ["workload"], ["confidence"],
     ["malformed"]. *)

@@ -16,23 +16,15 @@ type t = {
   elapsed_s : float;
   throughput_rps : float;
   latency : Metrics.Histogram.snapshot;
+  latency_by_kind : (Generator.kind * Metrics.Histogram.snapshot) list;
 }
-
-let all_kinds =
-  [
-    Generator.Predict_v1;
-    Generator.Predict_v2;
-    Generator.Workload;
-    Generator.Confidence;
-    Generator.Malformed;
-  ]
 
 let make (plan : Generator.plan) (outcome : Driver.outcome) =
   {
     seed = plan.Generator.seed;
     clients = Array.length plan.Generator.streams;
     requests = Generator.total_requests plan;
-    kind_counts = List.map (fun k -> (k, Generator.count_kind plan k)) all_kinds;
+    kind_counts = List.map (fun k -> (k, Generator.count_kind plan k)) Generator.all_kinds;
     stream_bytes = String.length (Generator.stream_bytes plan);
     sent = outcome.Driver.sent;
     received = outcome.Driver.received;
@@ -46,6 +38,7 @@ let make (plan : Generator.plan) (outcome : Driver.outcome) =
          float_of_int outcome.Driver.received /. outcome.Driver.elapsed_s
        else 0.0);
     latency = outcome.Driver.latency;
+    latency_by_kind = outcome.Driver.latency_by_kind;
   }
 
 let clean t =
@@ -71,6 +64,13 @@ let quantiles t =
   let q p = Metrics.Histogram.snapshot_quantile t.latency p in
   (q 0.5, q 0.9, q 0.99, t.latency.Metrics.Histogram.max)
 
+let kind_quantiles t =
+  List.map
+    (fun (kind, snapshot) ->
+      let q p = Metrics.Histogram.snapshot_quantile snapshot p in
+      (Generator.kind_label kind, q 0.5, q 0.99))
+    t.latency_by_kind
+
 let to_text t =
   let p50, p90, p99, max = quantiles t in
   let buf = Buffer.create 512 in
@@ -79,6 +79,9 @@ let to_text t =
   Printf.bprintf buf "throughput_rps=%.1f\n" t.throughput_rps;
   if t.latency.Metrics.Histogram.count > 0 then
     Printf.bprintf buf "latency_s p50=%.6f p90=%.6f p99=%.6f max=%.6f\n" p50 p90 p99 max;
+  List.iter
+    (fun (kind, p50, p99) -> Printf.bprintf buf "latency_s kind=%s p50=%.6f p99=%.6f\n" kind p50 p99)
+    (kind_quantiles t);
   List.iter
     (fun (m : Driver.mismatch) ->
       Printf.bprintf buf "mismatch client=%d id=%d kind=%s\n  expected: %s\n  got:      %s\n"
@@ -122,4 +125,9 @@ let to_json t =
          ("elapsed_s", Json.Float t.elapsed_s);
          ("throughput_rps", Json.Float t.throughput_rps);
          ("latency", latency);
+         ( "latency_by_kind",
+           Json.Obj
+             (List.map
+                (fun (kind, p50, p99) -> (kind, Json.Obj [ ("p50", Json.Float p50); ("p99", Json.Float p99) ]))
+                (kind_quantiles t)) );
        ])

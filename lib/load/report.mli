@@ -26,6 +26,9 @@ type t = {
   elapsed_s : float;
   throughput_rps : float;  (** [received / elapsed_s]. *)
   latency : Estima_obs.Metrics.Histogram.snapshot;
+  latency_by_kind : (Generator.kind * Estima_obs.Metrics.Histogram.snapshot) list;
+      (** Per request kind, for the kinds answered: a cached predict's
+          tail and a collection's are different questions. *)
 }
 
 val make : Generator.plan -> Driver.outcome -> t
@@ -38,10 +41,14 @@ val deterministic_summary : t -> string
 (** The timing-free portion, one [key=value] per line — byte-identical
     across runs of the same plan against a correct server. *)
 
+val kind_quantiles : t -> (string * float * float) list
+(** [(kind label, p50, p99)] in seconds, per entry of [latency_by_kind]. *)
+
 val to_text : t -> string
 (** Human-readable report: the deterministic summary plus throughput
-    and latency quantiles. *)
+    and latency quantiles, overall and as p50/p99 per request kind. *)
 
 val to_json : t -> string
 (** One-line JSON object with the same content as {!to_text}, latencies
-    in seconds under ["latency"] with [p50]/[p90]/[p99]/[max]. *)
+    in seconds under ["latency"] with [p50]/[p90]/[p99]/[max], and under
+    ["latency_by_kind"] as [{KIND: {"p50", "p99"}}]. *)

@@ -26,15 +26,12 @@ type stream = { buffer : Buffer.t; mutable discarding : bool }
 
 let new_stream () = { buffer = Buffer.create 4096; discarding = false }
 
-let count server name =
-  Metrics.Counter.incr (Metrics.counter (Server.metrics server) name)
+let count server name = Metrics.Counter.incr (Metrics.counter (Server.metrics server) name)
 
-let frame_too_large server ~buffered ~limit =
-  count server "estima_frame_too_large_total";
+let connection_error server counter cause =
+  count server counter;
   count server "estima_errors_total";
-  Protocol.error_response ~id:Json.Null ~v:1
-    (Diag.make ~stage:Diag.Serve ~subject:"connection"
-       (Diag.Frame_too_large { buffered; limit }))
+  Protocol.error_response ~id:Json.Null ~v:1 (Diag.make ~stage:Diag.Serve ~subject:"connection" cause)
 
 (* Feed [n] freshly read bytes into the stream and return the complete
    lines now available, plus at most one typed [frame-too-large] error
@@ -64,29 +61,24 @@ let ingest server stream ~limit chunk n =
         let buffered = Buffer.length stream.buffer in
         Buffer.clear stream.buffer;
         stream.discarding <- true;
-        Some (frame_too_large server ~buffered ~limit)
+        Some
+          (connection_error server "estima_frame_too_large_total"
+             (Diag.Frame_too_large { buffered; limit }))
       end
       else None
     in
     (lines, shed)
   end
 
-(* EOF flush: a final line the peer never terminated is still a request
-   (satellite fix — it used to be dropped silently).  The tail of a
-   frame that was already shed as oversized stays dropped. *)
+(* EOF flush: a final line the peer never terminated is still a request.
+   The buffer holds only that unterminated tail, so terminating it and
+   splitting once gives exactly the complete lines.  The tail of a frame
+   that was already shed as oversized stays dropped. *)
 let final_lines stream =
-  if stream.discarding then []
+  if stream.discarding || Buffer.length stream.buffer = 0 then []
   else begin
-    let lines = split_lines stream.buffer in
-    let tail = Buffer.contents stream.buffer in
-    Buffer.clear stream.buffer;
-    if tail = "" then lines
-    else
-      let tail =
-        let n = String.length tail in
-        if tail.[n - 1] = '\r' then String.sub tail 0 (n - 1) else tail
-      in
-      lines @ [ tail ]
+    Buffer.add_char stream.buffer '\n';
+    split_lines stream.buffer
   end
 
 let write_all fd s =
@@ -103,12 +95,11 @@ let serve_stdio ?(max_buffer_bytes = default_max_buffer_bytes) server =
   let stream = new_stream () in
   let chunk = Bytes.create 65536 in
   let handle lines =
-    match lines with
-    | [] -> `Continue
-    | lines ->
-        let responses, verdict = Server.handle_batch server lines in
-        write_responses Unix.stdout responses;
-        verdict
+    if lines = [] then `Continue
+    else
+      let responses, verdict = Server.handle_batch server lines in
+      write_responses Unix.stdout responses;
+      verdict
   in
   let rec loop () =
     match Unix.read Unix.stdin chunk 0 (Bytes.length chunk) with
@@ -122,22 +113,32 @@ let serve_stdio ?(max_buffer_bytes = default_max_buffer_bytes) server =
   in
   loop ()
 
-(* [closed] makes every write path a no-op once the fd is gone: a send
-   that hits a dead peer closes the connection, and any later send for
-   the same batch (or the drain) must not touch the recycled fd — an
-   fd-table lookup is not enough, since the kernel may reuse the number
-   for a newly accepted client. *)
-type connection = { fd : Unix.file_descr; stream : stream; mutable closed : bool }
+(* [replies] is the reorder buffer: one slot per request (or shed frame)
+   in wire order, written from the head as soon as the head is filled.
+   [closed] makes every write a no-op once the fd is gone — the kernel
+   may reuse the number for a newly accepted client. *)
+type connection = {
+  fd : Unix.file_descr;
+  stream : stream;
+  replies : Server.slot Queue.t;
+  mutable eof : bool;
+  mutable closed : bool;
+}
 
 let default_max_connections = 64
 
+(* The longest wait on a peer that does not read, and on work in flight at shutdown. *)
+let drain_seconds = 5.0
+
 (* The listener loop shared by the Unix-socket and TCP transports: only
-   how the listening socket is created, what to do to a freshly accepted
-   fd ([on_accept], e.g. TCP_NODELAY) and what to clean up afterwards
-   ([cleanup], e.g. unlinking the socket file) differ — the select loop,
-   connection cap, frame shedding and the graceful drain are one code
-   path, so every invariant proven for one transport holds for the
-   other. *)
+   the listening socket, [on_accept] (e.g. TCP_NODELAY) and [cleanup]
+   (e.g. unlinking the socket file) differ, so every invariant proven
+   for one transport holds for the other.  The loop thread (this one)
+   does I/O, framing and admission and answers cache hits at once; it
+   hands queued compute to the compute thread one job at a time.  That
+   thread runs the job, writes one byte to [wake] and waits for the
+   next, and the loop runs the job's second half itself — all server
+   state stays on the loop thread. *)
 let serve_listener ~max_buffer_bytes ~max_connections ~on_accept ~cleanup server listener =
   (* A peer hanging up mid-write must surface as EPIPE, not kill us. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -145,40 +146,100 @@ let serve_listener ~max_buffer_bytes ~max_connections ~on_accept ~cleanup server
   let close_connection conn =
     if not conn.closed then begin
       conn.closed <- true;
+      Queue.clear conn.replies;
       Hashtbl.remove connections conn.fd;
       try Unix.close conn.fd with Unix.Unix_error _ -> ()
     end
   in
+  (* Connections are non-blocking, so a stalled reader (full receive
+     buffer) surfaces as EAGAIN: retry via select-for-writable under a
+     deadline, then give the peer up. *)
   let send conn responses =
-    if not conn.closed then
-      try write_responses conn.fd responses
-      with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
-        close_connection conn
+    if responses <> [] && not conn.closed then begin
+      let payload = String.concat "\n" responses ^ "\n" in
+      let len = String.length payload in
+      let deadline = Unix.gettimeofday () +. drain_seconds in
+      let rec go off =
+        if off < len && not conn.closed then
+          match Unix.write_substring conn.fd payload off (len - off) with
+          | n -> go (off + n)
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+              let remaining = deadline -. Unix.gettimeofday () in
+              if remaining <= 0.0 then close_connection conn
+              else (try ignore (Unix.select [] [ conn.fd ] [] remaining) with Unix.Unix_error _ -> ());
+              go off
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+          | exception Unix.Unix_error _ -> close_connection conn
+      in
+      go 0
+    end
+  in
+  let rec ready conn acc =
+    match Queue.peek_opt conn.replies with
+    | Some { contents = Some response } ->
+        ignore (Queue.pop conn.replies);
+        ready conn (response :: acc)
+    | _ -> List.rev acc
+  in
+  (* At EOF a connection closes only once every answer it is owed went out. *)
+  let flush conn =
+    send conn (ready conn []);
+    if conn.eof && Queue.is_empty conn.replies then close_connection conn
+  in
+  let wake, woken = Unix.pipe ~cloexec:true () in
+  let lock = Mutex.create () and handed = Condition.create () in
+  let mailbox = ref None and finish = ref ignore and busy = ref false in
+  let compute =
+    Thread.create
+      (fun () ->
+        let rec go () =
+          Mutex.lock lock;
+          while Option.is_none !mailbox do Condition.wait handed lock done;
+          let job = Option.get !mailbox in
+          mailbox := None;
+          Mutex.unlock lock;
+          match job with
+          | `Stop -> ()
+          | `Run job ->
+              (finish := try job () with _ -> ignore);
+              ignore (Unix.write_substring woken "." 0 1);
+              go ()
+        in
+        go ())
+      ()
+  in
+  let hand job = Mutex.protect lock (fun () -> mailbox := Some job; Condition.signal handed) in
+  let kick () =
+    if not !busy then Option.iter (fun job -> busy := true; hand (`Run job)) (Server.next_job server)
   in
   let chunk = Bytes.create 65536 in
+  let complete () =
+    match Unix.read wake chunk 0 1 with
+    | 1 -> busy := false; let f = !finish in finish := ignore; f ()
+    | _ | (exception Unix.Unix_error (Unix.EINTR, _, _)) -> ()
+  in
   let stop = ref false in
-  let handle conn lines =
-    match lines with
-    | [] -> ()
-    | lines ->
-        let responses, verdict = Server.handle_batch server lines in
-        send conn responses;
-        (match verdict with `Shutdown -> stop := true | `Continue -> ())
+  let submit conn lines =
+    if lines <> [] then begin
+      let slots, verdict = Server.submit server lines in
+      List.iter (fun slot -> Queue.add slot conn.replies) slots;
+      if verdict = `Shutdown then stop := true
+    end
   in
   let service conn =
     match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
     | 0 ->
         (* Peer EOF: an unterminated final line is still a request; its
-           responses go out before the close (the peer may have only
-           shut down its write side). *)
-        handle conn (final_lines conn.stream);
-        close_connection conn
+           answer goes out before the close (the peer may have only shut
+           down its write side). *)
+        submit conn (final_lines conn.stream);
+        conn.eof <- true
     | n ->
         let lines, shed = ingest server conn.stream ~limit:max_buffer_bytes chunk n in
-        handle conn lines;
-        Option.iter (fun error -> send conn [ error ]) shed
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> close_connection conn
+        submit conn lines;
+        Option.iter (fun error -> Queue.add (ref (Some error)) conn.replies) shed
+    | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error _ -> close_connection conn
   in
   let accept () =
     match Unix.accept listener with
@@ -187,111 +248,61 @@ let serve_listener ~max_buffer_bytes ~max_connections ~on_accept ~cleanup server
     if Hashtbl.length connections >= max_connections then begin
       (* Connection cap: shed the newcomer with a typed error instead of
          tracking state for it; established connections are unaffected. *)
-      count server "estima_connections_refused_total";
-      count server "estima_errors_total";
       (try
          write_responses client
            [
-             Protocol.error_response ~id:Json.Null ~v:1
-               (Diag.make ~stage:Diag.Serve ~subject:"connection"
-                  (Diag.Overloaded
-                     { pending = Hashtbl.length connections; capacity = max_connections }));
+             connection_error server "estima_connections_refused_total"
+               (Diag.Overloaded { pending = Hashtbl.length connections; capacity = max_connections });
            ]
        with Unix.Unix_error _ -> ());
       try Unix.close client with Unix.Unix_error _ -> ()
     end
     else begin
       (try on_accept client with Unix.Unix_error _ -> ());
+      Unix.set_nonblock client;
       Hashtbl.replace connections client
-        { fd = client; stream = new_stream (); closed = false }
+        { fd = client; stream = new_stream (); replies = Queue.create (); eof = false; closed = false }
     end
   in
-  while not !stop do
-    let fds = listener :: Hashtbl.fold (fun fd _ acc -> fd :: acc) connections [] in
-    match Unix.select fds [] [] (-1.0) with
+  (* Graceful drain: a shutdown stops the accepts, but every connection
+     keeps being served until no work is in flight and nothing more has
+     arrived — or until [drain_seconds] ran out. *)
+  let deadline = ref infinity and running = ref true in
+  while !running do
+    if !stop && !deadline = infinity then deadline := Unix.gettimeofday () +. drain_seconds;
+    let fds =
+      Hashtbl.fold
+        (fun fd conn acc -> if conn.eof then acc else fd :: acc)
+        connections
+        (if !stop then [ wake ] else [ listener; wake ])
+    in
+    let timeout =
+      if not !stop then -1.0
+      else if !busy then Float.max 0.0 (!deadline -. Unix.gettimeofday ())
+      else 0.0
+    in
+    match Unix.select fds [] [] timeout with
     | readable, _, _ ->
         List.iter
           (fun fd ->
             if fd = listener then accept ()
-            else
-              match Hashtbl.find_opt connections fd with
-              | Some conn -> service conn
-              | None -> ())
-          readable
+            else if fd = wake then complete ()
+            else Option.iter service (Hashtbl.find_opt connections fd))
+          readable;
+        kick ();
+        List.iter flush (Hashtbl.fold (fun _ conn acc -> conn :: acc) connections []);
+        if !stop && (readable = [] || Unix.gettimeofday () > !deadline) then running := false
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done;
-  (* Graceful drain: a shutdown stops the accept loop, but every other
-     connection whose requests have already arrived still gets its
-     answers.  One final non-blocking sweep pulls in bytes the kernel is
-     already holding, then each connection's parsed lines are served
-     before its close.  (Unterminated tails are not flushed here — these
-     peers are not at EOF, their line simply never ended.) *)
-  (* The drained fds stay non-blocking for the response writes too, so a
-     stalled reader (full receive buffer) surfaces as EAGAIN rather than
-     blocking shutdown forever: retry via select-for-writable under a
-     deadline, then give the peer up. *)
-  let drain_send conn responses =
-    if responses <> [] && not conn.closed then begin
-      let payload = String.concat "\n" responses ^ "\n" in
-      let len = String.length payload in
-      let deadline = Unix.gettimeofday () +. 5.0 in
-      let rec go off =
-        if off < len && not conn.closed then
-          match Unix.write_substring conn.fd payload off (len - off) with
-          | n -> go (off + n)
-          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-              let remaining = deadline -. Unix.gettimeofday () in
-              if remaining <= 0.0 then close_connection conn
-              else begin
-                (match Unix.select [] [ conn.fd ] [] remaining with
-                | _ -> ()
-                | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-                go off
-              end
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-          | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
-              close_connection conn
-      in
-      go 0
-    end
-  in
-  let remaining = Hashtbl.fold (fun _ conn acc -> conn :: acc) connections [] in
-  List.iter
-    (fun conn ->
-      (* One misbehaving peer must not abort the drain of the rest: any
-         Unix error escaping this connection's sweep only costs this
-         connection its responses. *)
-      (try
-         let lines = ref [] and errors = ref [] in
-         Unix.set_nonblock conn.fd;
-         (try
-            let continue = ref true in
-            while !continue do
-              match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
-              | 0 ->
-                  continue := false;
-                  (* This peer did reach EOF before the drain: flush an
-                     unterminated final line like the live path would. *)
-                  lines := !lines @ final_lines conn.stream
-              | n ->
-                  let batch, shed =
-                    ingest server conn.stream ~limit:max_buffer_bytes chunk n
-                  in
-                  lines := !lines @ batch;
-                  Option.iter (fun error -> errors := !errors @ [ error ]) shed
-            done
-          with
-         | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-         | Unix.Unix_error _ -> ());
-         (match !lines with
-         | [] -> ()
-         | lines ->
-             let responses, _ = Server.handle_batch server lines in
-             drain_send conn responses);
-         drain_send conn !errors
-       with Unix.Unix_error _ -> ());
-      close_connection conn)
-    remaining;
+  (* A job still running past the deadline is left to the exiting
+     process; otherwise the compute thread is stopped and joined. *)
+  if not !busy then begin
+    hand `Stop;
+    Thread.join compute;
+    Unix.close wake;
+    Unix.close woken
+  end;
+  List.iter close_connection (Hashtbl.fold (fun _ conn acc -> conn :: acc) connections []);
   (try Unix.close listener with Unix.Unix_error _ -> ());
   cleanup ()
 

@@ -1,12 +1,24 @@
 (** Transports for the prediction server.
 
-    Both speak the newline-delimited JSON of {!Protocol}: every complete
-    line that has arrived when the loop wakes up is handed to
-    {!Server.handle_batch} as one batch — a pipelining client thus gets
-    request batching (and within-batch cache dedup) for free, while an
-    interactive client sees one-request batches.
+    All speak the newline-delimited JSON of {!Protocol}, and every
+    connection gets its answers in request order.
 
-    Both are bounded against adversarial peers:
+    - {b stdio} hands the complete lines of each read to
+      {!Server.handle_batch} and writes the answers before reading on.
+    - {b sockets} (Unix and TCP) run two threads of the main domain.  The
+      loop thread selects over the listener, the connections and a
+      completion pipe; it frames, parses and admits requests with
+      {!Server.submit} and answers parse errors, metrics, shutdown and
+      cache hits at once.  Compute — fits, file reads, collections —
+      goes to one compute thread, one {!Server.next_job} at a time; when
+      a job is done the compute thread writes a byte to the pipe and
+      waits, and the loop thread completes it.  A per-connection reorder
+      buffer writes each answer as soon as every earlier answer on that
+      connection went out, so a slow request delays only later answers
+      on its own connection.  The misses of one read still fan out
+      together on the server's domain pool.
+
+    All are bounded against adversarial peers:
 
     - the per-stream input buffer is capped at [max_buffer_bytes]
       (default 1 MiB).  A peer that streams that much without a newline
@@ -27,9 +39,12 @@
       closed ([estima_connections_refused_total]), leaving established
       connections untouched.
 
-    Both return normally after a [shutdown] request (its response is
-    written first) or when the peer side closes; they do not call
-    {!Server.shutdown} — the caller owns the server's lifetime. *)
+    A socket response write waits at most 5 s for a peer that does not read,
+    then drops that peer.  A peer that closes with answers pending loses
+    them; the results stay cached.  All transports return normally after
+    a [shutdown] request (its response is written in its turn) or when
+    the peer side closes; they do not call {!Server.shutdown} — the
+    caller owns the server's lifetime. *)
 
 val serve_stdio : ?max_buffer_bytes:int -> Server.t -> unit
 (** Serve one session over stdin/stdout.  Returns on EOF or [shutdown]. *)
@@ -37,12 +52,11 @@ val serve_stdio : ?max_buffer_bytes:int -> Server.t -> unit
 val serve_socket :
   ?max_buffer_bytes:int -> ?max_connections:int -> Server.t -> path:string -> unit
 (** Listen on a Unix domain socket at [path] (an existing socket file
-    there is replaced), serving any number of concurrent connections
-    from one thread via [select].  Returns once a [shutdown] request has
-    been answered — but drains first: every other connection whose
-    request lines have already arrived gets its responses written before
-    its connection is closed.  The socket file is removed on the way
-    out. *)
+    there is replaced), serving any number of concurrent connections.
+    After a [shutdown] request it stops accepting and drains: every
+    connection keeps being served until no work is in flight and nothing
+    more has arrived, for at most 5 s, then each connection is closed.
+    The socket file is removed on the way out. *)
 
 val serve_tcp :
   ?max_buffer_bytes:int ->

@@ -210,6 +210,15 @@ let test_driver_deterministic_across_jobs () =
   in
   let r1 = play 1 in
   Alcotest.(check bool) "jobs 1 clean" true (Report.clean r1);
+  (* Per-kind latencies split the overall histogram: one entry per kind
+     the plan sent, sample counts matching the plan's. *)
+  Alcotest.(check (list (pair string int))) "latency by kind"
+    (List.filter_map
+       (fun (kind, n) -> if n = 0 then None else Some (Generator.kind_label kind, n))
+       r1.Report.kind_counts)
+    (List.map
+       (fun (kind, (s : Estima_obs.Metrics.Histogram.snapshot)) -> (Generator.kind_label kind, s.count))
+       r1.Report.latency_by_kind);
   let summary = Report.deterministic_summary r1 in
   (* Across runs: same plan, same server, same aggregates. *)
   Alcotest.(check string) "stable across runs" summary

@@ -774,6 +774,39 @@ let test_socket_concurrent_clients () =
   | _ -> Alcotest.fail "estima_serve did not exit cleanly");
   Sys.remove path
 
+(* A "file" request names only a regular file of at most 1 MiB: a device
+   or an oversized file is a typed parse error, and every error path —
+   this one and an injected crash alike — answers with the request's own
+   id and negotiated version. *)
+let test_server_file_bound_and_ids () =
+  let big = Filename.temp_file "estima_big_" ".csv" in
+  Out_channel.with_open_bin big (fun oc -> output_string oc (String.make (2 lsl 20) 'x'));
+  let v2 id members =
+    Json.to_string
+      (Json.Obj ([ ("v", Json.Int 2); ("id", Json.Int id); ("op", Json.String "predict") ] @ members))
+  in
+  let csv = collect_csv "kmeans" in
+  with_server (fun server ->
+      Server.inject_fault server ~spec:"poisoned" (Server.Fault_raise "kaboom");
+      let responses, _ =
+        Server.handle_batch server
+          [
+            v2 7 [ ("file", Json.String "/dev/null") ];
+            v2 8 [ ("file", Json.String big) ];
+            v2 9 [ ("csv", Json.String csv); ("spec", Json.String "poisoned") ];
+          ]
+      in
+      List.iter2
+        (fun (id, cause, sub) response ->
+          let json = parse_response response in
+          Alcotest.(check (option int)) "id" (Some id) (Option.bind (Json.member "id" json) Json.to_int_opt);
+          Alcotest.(check (option int)) "v" (Some 2) (Option.bind (Json.member "v" json) Json.to_int_opt);
+          Alcotest.(check (option string)) "cause" (Some cause) (Option.map fst (error_cause response));
+          Alcotest.(check bool) ("message names " ^ sub) true (contains ~sub response))
+        [ (7, "parse-error", "not a regular file"); (8, "parse-error", "byte limit"); (9, "internal", "kaboom") ]
+        responses);
+  Sys.remove big
+
 let suite =
   [
     ("json round-trip", `Quick, test_json_roundtrip);
@@ -798,6 +831,7 @@ let suite =
     ("server sheds on a full queue", `Quick, test_server_queue_full);
     ("server sheds on a blown deadline", `Quick, test_server_deadline);
     ("server metrics and shutdown", `Quick, test_server_shutdown_and_metrics);
+    ("server bounds file reads; errors keep id and v", `Quick, test_server_file_bound_and_ids);
     ("soak: 1000 pipelined requests over stdio", `Slow, test_soak_1000_requests);
     ("soak: concurrent clients over a socket", `Slow, test_socket_concurrent_clients);
   ]

@@ -203,10 +203,105 @@ let test_tcp_load_soak () =
   if not (Estima_load.Report.clean report) then
     Alcotest.failf "unclean TCP soak:\n%s" (Estima_load.Report.to_text report)
 
+(* Microseconds are enough to tell "answered" from "still computing". *)
+let readable fd = match Unix.select [ fd ] [] [] 0.0 with [], _, _ -> false | _ -> true
+
+let member_int key response =
+  match Json.parse response with
+  | Ok json -> Option.bind (Json.member key json) Json.to_int_opt
+  | Error e -> Alcotest.fail e
+
+(* Head-of-line blocking: compute runs off the select loop, so a cold
+   simulator collection on one connection does not hold up a cached
+   predict on another, a slow fit does not reorder its own connection's
+   answers, and a metrics request is answered while compute is in
+   flight.  One pool domain (--jobs 1): the collection holds the main
+   domain's CPU, so the cached answer has to come through the runtime's
+   thread switch. *)
+let test_tcp_compute_off_loop () =
+  let csv = collect_csv "kmeans" in
+  let path = write_temp_csv "tcp_hol" csv in
+  let spec = Filename.remove_extension (Filename.basename path) in
+  let expected = cli_predict path in
+  let store = Filename.temp_file "estima_hol_store_" "" in
+  Sys.remove store;
+  let server =
+    start_tcp_serve [ "--jobs"; "1"; "--store"; store; "--inject-fault"; "slow:delay:1.0" ]
+  in
+  let fd_a, oc_a, ic_a = connect server in
+  let fd_b, oc_b, ic_b = connect server in
+  let fd_c, oc_c, ic_c = connect server in
+  let send oc lines = output_string oc (String.concat "\n" lines ^ "\n"); flush oc in
+  send oc_b [ line ~id:1 ~spec csv ];
+  Alcotest.(check string) "warm-up answered" expected (response_text (input_line ic_b));
+  (* A cold collection by name on A, then a cached predict on B. *)
+  send oc_a [ {|{"id":2,"op":"predict","workload":"kmeans"}|} ];
+  Unix.sleepf 0.03;
+  let t0 = Unix.gettimeofday () in
+  send oc_b [ line ~id:3 ~spec csv ];
+  let cached = input_line ic_b in
+  let waited = Unix.gettimeofday () -. t0 in
+  Alcotest.(check string) "cached answer" expected (response_text cached);
+  if waited > 0.25 then Alcotest.failf "cached predict waited %.3f s behind a collection" waited;
+  Alcotest.(check bool) "collection still running when the hit was answered" false
+    (readable fd_a);
+  let collected = input_line ic_a in
+  Alcotest.(check (option int)) "collection answered" (Some 2) (member_int "id" collected);
+  Alcotest.(check bool) "collection ok" true (error_cause collected = None);
+  (* A slow fit then a cached predict on one connection: answers keep
+     request order.  Meanwhile a metrics request on C is answered. *)
+  let t0 = Unix.gettimeofday () in
+  send oc_b [ line ~id:4 ~spec:"slow" csv; line ~id:5 ~spec csv ];
+  Unix.sleepf 0.05;
+  send oc_c [ {|{"id":6,"op":"metrics"}|} ];
+  Alcotest.(check (option int)) "metrics answered" (Some 6) (member_int "id" (input_line ic_c));
+  if Unix.gettimeofday () -. t0 >= 1.0 then Alcotest.fail "metrics waited for the slow fit";
+  Alcotest.(check bool) "slow fit still running" false (readable fd_b);
+  Alcotest.(check (option int)) "slow answer first" (Some 4) (member_int "id" (input_line ic_b));
+  Alcotest.(check string) "then the cached one" expected (response_text (input_line ic_b));
+  List.iter Unix.close [ fd_a; fd_b; fd_c ];
+  Driver.stop_server server;
+  Sys.remove path
+
+(* Bounded "file" reads and internal errors keep the request's id and
+   version, on the compute-thread path. *)
+let test_tcp_file_bound_and_ids () =
+  let big = Filename.temp_file "estima_big_" ".csv" in
+  Out_channel.with_open_bin big (fun oc -> output_string oc (String.make (2 lsl 20) 'x'));
+  let csv = collect_csv "kmeans" in
+  let server = start_tcp_serve [ "--inject-fault"; "poisoned:raise:kaboom" ] in
+  let fd, oc, ic = connect server in
+  let request id members =
+    Json.to_string
+      (Json.Obj ([ ("v", Json.Int 2); ("id", Json.Int id); ("op", Json.String "predict") ] @ members))
+  in
+  output_string oc
+    (String.concat "\n"
+       [
+         request 7 [ ("file", Json.String "/dev/null") ];
+         request 8 [ ("file", Json.String big) ];
+         request 9 [ ("csv", Json.String csv); ("spec", Json.String "poisoned") ];
+       ]
+    ^ "\n");
+  flush oc;
+  List.iter
+    (fun (id, cause, sub) ->
+      let response = input_line ic in
+      Alcotest.(check (option int)) "id echoed" (Some id) (member_int "id" response);
+      Alcotest.(check (option int)) "v echoed" (Some 2) (member_int "v" response);
+      Alcotest.(check (option string)) "cause" (Some cause) (Option.map fst (error_cause response));
+      Alcotest.(check bool) ("message names " ^ sub) true (Test_service.contains ~sub response))
+    [ (7, "parse-error", "not a regular file"); (8, "parse-error", "byte limit"); (9, "internal", "kaboom") ];
+  Unix.close fd;
+  Driver.stop_server server;
+  Sys.remove big
+
 let suite =
   [
     ("tcp: poison, shed, hangup, EOF flush, drain", `Slow, test_tcp_faults);
     ("tcp: connection cap", `Slow, test_tcp_connection_cap);
     ("tcp: --socket/--tcp mutually exclusive", `Quick, test_tcp_mutual_exclusion);
     ("tcp: byte-exact load soak", `Slow, test_tcp_load_soak);
+    ("tcp: compute off the select loop", `Slow, test_tcp_compute_off_loop);
+    ("tcp: bounded file reads, ids on errors", `Slow, test_tcp_file_bound_and_ids);
   ]
