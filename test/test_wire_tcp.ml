@@ -235,7 +235,7 @@ let test_tcp_compute_off_loop () =
   send oc_b [ line ~id:1 ~spec csv ];
   Alcotest.(check string) "warm-up answered" expected (response_text (input_line ic_b));
   (* A cold collection by name on A, then a cached predict on B. *)
-  send oc_a [ {|{"id":2,"op":"predict","workload":"kmeans"}|} ];
+  send oc_a [ {|{"id":2,"op":"predict","workload":"ssca2"}|} ];
   Unix.sleepf 0.03;
   let t0 = Unix.gettimeofday () in
   send oc_b [ line ~id:3 ~spec csv ];
