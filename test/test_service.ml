@@ -831,7 +831,7 @@ let suite =
     ("server sheds on a full queue", `Quick, test_server_queue_full);
     ("server sheds on a blown deadline", `Quick, test_server_deadline);
     ("server metrics and shutdown", `Quick, test_server_shutdown_and_metrics);
-    ("server bounds file reads; errors keep id and v", `Quick, test_server_file_bound_and_ids);
     ("soak: 1000 pipelined requests over stdio", `Slow, test_soak_1000_requests);
     ("soak: concurrent clients over a socket", `Slow, test_socket_concurrent_clients);
+    ("server bounds file reads; errors keep id and v", `Quick, test_server_file_bound_and_ids);
   ]
